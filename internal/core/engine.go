@@ -46,7 +46,7 @@ type Options struct {
 	GammaQuantile float64 // default 0.9
 
 	// Initial selection.
-	Clusters    int // KMeans k (default |D|/64, min 2)
+	Clusters    int // KMeans k (default |D|/16, min 2)
 	TopClusters int // clusters M_c selects (default 3)
 	Samples     int // s verified samples (default 4)
 

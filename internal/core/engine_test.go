@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -208,51 +207,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o2.defaults(10)
 	if o2.Clusters != 2 {
 		t.Fatalf("cluster floor = %d", o2.Clusters)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	eng, _, db, test := buildEngine(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(db, &buf, Options{QueryMetric: eng.Opts.QueryMetric})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.GammaStar != eng.GammaStar {
-		t.Fatalf("gammaStar %v != %v", loaded.GammaStar, eng.GammaStar)
-	}
-	// Loaded engine must answer queries identically.
-	for _, q := range test[:3] {
-		want, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
-		got, _ := loaded.Search(q, SearchOptions{K: 5, Beam: 12})
-		if len(want) != len(got) {
-			t.Fatalf("result count differs")
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("loaded engine diverges: %v vs %v", got, want)
-			}
-		}
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	eng, _, db, _ := buildEngine(t)
-	// Bad JSON.
-	if _, err := Load(db, bytes.NewBufferString("{"), Options{}); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	// Database size mismatch.
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	short := db[:len(db)-1]
-	if _, err := Load(short, &buf, Options{}); err == nil {
-		t.Fatal("database mismatch accepted")
 	}
 }
 

@@ -12,15 +12,15 @@ import (
 	"github.com/lansearch/lan/internal/pg"
 )
 
-// snapshot is the JSON wire form of a built engine (without the database
-// itself, which callers store separately, and without metrics, which are
-// code).
+// snapshot is the JSON metadata section of a binary snapshot: everything
+// besides the database, the base-layer adjacency and M_rk's node
+// embeddings (which live in their own lanstore sections) and the metrics
+// (which are code).
 type snapshot struct {
 	Version   int     `json:"version"`
 	GammaStar float64 `json:"gamma_star"`
 
-	// Index.
-	Adj   [][]int         `json:"adj"`
+	// Index (upper HNSW layers; the base layer is a lanstore section).
 	Upper []map[int][]int `json:"upper"`
 	Level []int           `json:"level"`
 	Entry int             `json:"entry"`
@@ -46,72 +46,13 @@ type snapshot struct {
 	MnhParams json.RawMessage `json:"mnh_params"`
 	McParams  json.RawMessage `json:"mc_params"`
 
-	// MrkNodeEmb holds M_rk's precomputed database embeddings. Optional:
-	// snapshots written before this field (or with it stripped) load fine
-	// — the embeddings are recomputed from the parameters at Load.
-	MrkNodeEmb [][]float64 `json:"mrk_node_emb,omitempty"`
-
-	// Mutation state (format version 2). An engine that was never
-	// mutated serializes as version 1 without these fields, so
-	// pre-mutation readers keep loading it.
+	// Mutation state, omitted while the engine was never mutated.
 	Epoch uint64   `json:"epoch,omitempty"`
 	Born  []uint64 `json:"born,omitempty"`
 	Died  []uint64 `json:"died,omitempty"`
 }
 
-// maxSnapshotVersion is the newest snapshot format this build can read:
-// 1 is the original immutable form, 2 adds mutation state (epoch +
-// per-graph validity stamps).
-const maxSnapshotVersion = 2
-
-// Save serializes everything needed to answer queries later: the
-// proximity graph, the calibration, the clustering, and all trained model
-// parameters. The database and the GED metrics are re-supplied at Load.
-func (e *Engine) Save(w io.Writer) error { return e.SaveWithState(w, nil) }
-
-// SaveWithState is Save carrying the mutable index's write-path state.
-// A nil st (or one that never mutated: epoch 0) writes the version-1
-// form, byte-compatible with pre-mutation readers; otherwise the
-// snapshot is version 2 and includes the epoch and validity stamps.
-func (e *Engine) SaveWithState(w io.Writer, st *MutationState) error {
-	s := snapshot{
-		Version:   1,
-		GammaStar: e.GammaStar,
-		Adj:       e.Index.PG.Adj,
-		Upper:     e.Index.Upper,
-		Level:     e.Index.Level,
-		Entry:     e.Index.Entry,
-		M:         e.Opts.M,
-		Layers:    e.Opts.Layers, Dim: e.Opts.Dim,
-		BatchPercent: e.Opts.BatchPercent, Hidden: e.Opts.Hidden,
-		UseCG:       e.Opts.UseCG,
-		TopClusters: e.Opts.TopClusters, Samples: e.Opts.Samples,
-		StepSize:   e.Opts.StepSize,
-		Seed:       e.Opts.Seed,
-		Centroids:  e.Mc.Clusters().Centroids,
-		Assign:     e.Mc.Clusters().Assign,
-		MrkNodeEmb: e.Mrk.NodeEmbeddings(),
-	}
-	if st != nil && st.Epoch > 0 {
-		s.Version = 2
-		s.Epoch = st.Epoch
-		s.Born = st.Born
-		s.Died = st.Died
-	}
-	var err error
-	if s.MrkParams, err = marshalParams(e.Mrk.Params); err != nil {
-		return err
-	}
-	if s.MnhParams, err = marshalParams(e.Mnh.Params); err != nil {
-		return err
-	}
-	if s.McParams, err = marshalParams(e.Mc.Params); err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(s)
-}
-
-func marshalParams(p paramsSaver) (json.RawMessage, error) {
+func marshalParams(p interface{ Save(io.Writer) error }) (json.RawMessage, error) {
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		return nil, err
@@ -119,51 +60,10 @@ func marshalParams(p paramsSaver) (json.RawMessage, error) {
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-type paramsSaver interface {
-	Save(io.Writer) error
-	Load(io.Reader) error
-}
-
-// Load reconstructs a saved engine over db. opts supplies the metrics
-// (and may override UseCG); all shape options come from the snapshot.
-func Load(db graph.Database, r io.Reader, opts Options) (*Engine, error) {
-	e, _, _, err := LoadWithState(db, r, opts)
-	return e, err
-}
-
-// LoadWithState is Load that also returns the snapshot's mutation state
-// (nil for version-1 snapshots, which predate the write path) and the
-// format version it was stored at. Unknown future versions are rejected
-// with a clear error instead of a garbage decode.
-func LoadWithState(db graph.Database, r io.Reader, opts Options) (*Engine, *MutationState, int, error) {
-	if err := db.Validate(); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: load: %w", err)
-	}
-	var s snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: load: %w", err)
-	}
-	if s.Version < 1 || s.Version > maxSnapshotVersion {
-		return nil, nil, 0, fmt.Errorf("core: unsupported snapshot version %d (this build reads versions 1-%d)", s.Version, maxSnapshotVersion)
-	}
-	var st *MutationState
-	if s.Version >= 2 {
-		if len(s.Born) != len(s.Adj) || len(s.Died) != len(s.Adj) {
-			return nil, nil, 0, fmt.Errorf("core: load: %d/%d validity stamps for %d graphs", len(s.Born), len(s.Died), len(s.Adj))
-		}
-		st = &MutationState{Epoch: s.Epoch, Born: s.Born, Died: s.Died}
-	}
-	e, err := assembleEngine(db, &s, s.Adj, opts, assembly{})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return e, st, s.Version, nil
-}
-
 // assembly carries the storage-dependent pieces of engine assembly. The
-// JSON loader derives everything from the RAM database (zero value); the
-// v3 snapshot loader substitutes vocab-built caches and — in mmap mode —
-// an external graph store and embedding source over a husk database.
+// RAM tier derives everything but the M_rk table from the materialized
+// database; the mmap tier substitutes vocab-built caches, an external
+// graph store and an embedding source over a husk database.
 type assembly struct {
 	// graphs overrides the candidate-fetch tier (nil → RAMStore over db).
 	graphs pg.GraphStore
@@ -171,8 +71,8 @@ type assembly struct {
 	cgs *models.CGStore
 	// embedder overrides M_c's feature embedder (nil → scan db).
 	embedder cluster.Embedder
-	// nodeEmb supplies the M_rk table when the snapshot metadata carries
-	// none (the v3 RAM path decodes it from the embedding section).
+	// nodeEmb supplies the M_rk table (the RAM tier decodes it from the
+	// embedding section).
 	nodeEmb [][]float64
 	// embSrc serves the M_rk table externally (the v3 mmap path).
 	embSrc models.NodeEmbeddingSource
@@ -183,7 +83,7 @@ type assembly struct {
 
 // assembleEngine rebuilds a ready engine from decoded snapshot metadata,
 // the base-layer adjacency and the storage-dependent inputs in asm — the
-// shared back half of the JSON and v3 loaders.
+// shared back half of both storage tiers.
 func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, asm assembly) (*Engine, error) {
 	if len(adj) != len(db) {
 		return nil, fmt.Errorf("core: snapshot indexes %d graphs, database has %d", len(adj), len(db))
@@ -226,10 +126,6 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 		return nil, err
 	}
 	switch {
-	case s.MrkNodeEmb != nil:
-		if err := e.Mrk.SetNodeEmbeddings(s.MrkNodeEmb, len(db)); err != nil {
-			return nil, err
-		}
 	case asm.nodeEmb != nil:
 		if err := e.Mrk.SetNodeEmbeddings(asm.nodeEmb, len(db)); err != nil {
 			return nil, err

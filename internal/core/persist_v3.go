@@ -11,9 +11,9 @@ import (
 	"github.com/lansearch/lan/internal/models"
 )
 
-// SnapshotVersionV3 is the binary snapshot format: the JSON metadata of
-// versions 1-2 moves into a lanstore section, and the database, base
-// adjacency and M_rk node-embedding table move into the fixed-layout
+// SnapshotVersionV3 is the binary snapshot format, the only persisted
+// index format: JSON metadata in one lanstore section, and the database,
+// base adjacency and M_rk node-embedding table in the fixed-layout
 // sections an mmap reader can serve without materializing them.
 const SnapshotVersionV3 = 3
 
@@ -35,14 +35,11 @@ func SaveSnapshotV3(path string, e *Engine, st *MutationState, quant lanstore.Qu
 	s := snapshot{
 		Version:   SnapshotVersionV3,
 		GammaStar: e.GammaStar,
-		// Adj and MrkNodeEmb deliberately stay empty: both live in
-		// dedicated lanstore sections so the mmap path never decodes
-		// them through JSON.
-		Upper:  e.Index.Upper,
-		Level:  e.Index.Level,
-		Entry:  e.Index.Entry,
-		M:      e.Opts.M,
-		Layers: e.Opts.Layers, Dim: e.Opts.Dim,
+		Upper:     e.Index.Upper,
+		Level:     e.Index.Level,
+		Entry:     e.Index.Entry,
+		M:         e.Opts.M,
+		Layers:    e.Opts.Layers, Dim: e.Opts.Dim,
 		BatchPercent: e.Opts.BatchPercent, Hidden: e.Opts.Hidden,
 		UseCG:       e.Opts.UseCG,
 		TopClusters: e.Opts.TopClusters, Samples: e.Opts.Samples,
@@ -91,8 +88,8 @@ func SaveSnapshotV3(path string, e *Engine, st *MutationState, quant lanstore.Qu
 //
 // With mmap false the snapshot is fully verified and materialized into
 // RAM (the store is closed before returning, and the returned store is
-// nil): the engine is then indistinguishable from one loaded via
-// LoadWithState, writable included.
+// nil): the engine is then indistinguishable from a freshly built one,
+// writable included.
 func OpenSnapshotV3(path string, opts Options, mmap bool) (*Engine, *MutationState, *lanstore.Store, error) {
 	store, err := lanstore.Open(path)
 	if err != nil {

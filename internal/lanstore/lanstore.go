@@ -53,9 +53,9 @@ const (
 // Named error classes. Callers match with errors.Is; every failure is
 // wrapped with file-specific detail.
 var (
-	// ErrNotSnapshot marks a file without the LANSNAP magic — lanio uses
-	// it to fall back to the JSON index format.
-	ErrNotSnapshot = errors.New("lanstore: not a binary snapshot (no LANSNAP magic)")
+	// ErrNotSnapshot marks a file without the LANSNAP magic, such as a
+	// JSON index written by an older release.
+	ErrNotSnapshot = errors.New("lanstore: not a snapshot (no LANSNAP magic); JSON indexes are no longer read, rebuild the index with lan-train")
 	// ErrFutureVersion marks a LANSNAP file whose version this build does
 	// not read.
 	ErrFutureVersion = errors.New("lanstore: snapshot format is newer than this build")
@@ -139,8 +139,10 @@ func embRowBytes(code, dim int) int {
 	}
 }
 
-// Write serializes d to path in snapshot format v3, atomically (temp file
-// + rename in path's directory).
+// Write serializes d to path in snapshot format v3, atomically and
+// durably: the bytes land in a temp file in path's directory, are synced
+// to disk, and only then renamed into place, so a crash never leaves a
+// short file under the final name.
 func Write(path string, d *SnapshotData) error {
 	if len(d.DB) == 0 {
 		return fmt.Errorf("lanstore: write: empty database")
@@ -208,6 +210,10 @@ func Write(path string, d *SnapshotData) error {
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(out); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"os"
 
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/obs"
@@ -33,26 +31,6 @@ type Store struct {
 	emb    []byte
 
 	m *obs.StoreMetrics
-}
-
-// IsSnapshot reports whether path starts with the LANSNAP magic prefix
-// — i.e. is a binary snapshot of some version (possibly one this build
-// cannot read). Tools sniff this to pick the binary or the JSON loader.
-func IsSnapshot(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	buf := make([]byte, len(magicPrefix))
-	n, err := io.ReadFull(f, buf)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return string(buf[:n]) == magicPrefix, nil
 }
 
 // Open maps the v3 snapshot at path and validates its structure: magic

@@ -61,7 +61,6 @@ type Index struct {
 	stop     chan struct{}
 	kick     chan struct{}
 	wg       sync.WaitGroup
-	loadedAs int // snapshot format version this index was loaded from; 0 if built
 }
 
 // Snapshot is one point-in-time read view: a frozen engine plus the
@@ -83,22 +82,20 @@ var ErrReadOnly = errors.New("mutable: index is read-only")
 
 // New wraps eng, whose ownership transfers to the returned index (the
 // caller must not mutate or search eng directly afterwards; use
-// Snapshot). st carries the validity stamps of a version-2 snapshot;
-// nil means a fresh, never-mutated engine. loadedVersion is the
-// persisted format version the engine came from (0 when built in
-// memory).
-func New(eng *core.Engine, st *core.MutationState, loadedVersion int) (*Index, error) {
-	return makeIndex(eng, st, loadedVersion, false)
+// Snapshot). st carries the validity stamps of a persisted snapshot;
+// nil means a fresh, never-mutated engine.
+func New(eng *core.Engine, st *core.MutationState) (*Index, error) {
+	return makeIndex(eng, st, false)
 }
 
 // NewReadOnly is New for engines whose storage is immutable. Insert,
 // Delete and Compact return ErrReadOnly, and the background edge
 // optimizer never starts; reads are unrestricted.
-func NewReadOnly(eng *core.Engine, st *core.MutationState, loadedVersion int) (*Index, error) {
-	return makeIndex(eng, st, loadedVersion, true)
+func NewReadOnly(eng *core.Engine, st *core.MutationState) (*Index, error) {
+	return makeIndex(eng, st, true)
 }
 
-func makeIndex(eng *core.Engine, st *core.MutationState, loadedVersion int, readonly bool) (*Index, error) {
+func makeIndex(eng *core.Engine, st *core.MutationState, readonly bool) (*Index, error) {
 	n := len(eng.DB)
 	x := &Index{
 		eng:      eng,
@@ -107,7 +104,6 @@ func makeIndex(eng *core.Engine, st *core.MutationState, loadedVersion int, read
 		died:     make([]uint64, n),
 		live:     n,
 		inChurn:  make(map[int]bool),
-		loadedAs: loadedVersion,
 		readonly: readonly,
 	}
 	if st != nil {
@@ -146,14 +142,9 @@ func (x *Index) Len() int { return x.snap.Load().Live }
 // space).
 func (x *Index) Total() int { return len(x.snap.Load().Engine.DB) }
 
-// LoadedVersion returns the persisted format version this index was
-// restored from, or 0 if it was built in memory.
-func (x *Index) LoadedVersion() int { return x.loadedAs }
-
 // State returns a copy of the mutation state for persistence, taken
 // from the given snapshot so it is consistent with what that snapshot's
-// engine serializes. Nil when the snapshot predates any mutation (the
-// version-1 case).
+// engine serializes. Nil when the snapshot predates any mutation.
 func (s *Snapshot) State() *core.MutationState { return s.state }
 
 // Insert adds g to the index and returns its id. The graph is cloned,

@@ -30,8 +30,8 @@ type Mutator struct {
 	Pool *WorkerPool
 }
 
-// NewMutator prepares h for incremental mutation. Indexes restored by
-// core.Load carry no build metric or degree parameter (batch
+// NewMutator prepares h for incremental mutation. Indexes restored from
+// a snapshot carry no build metric or degree parameter (batch
 // construction is over), so the mutator re-arms them: metric and m must
 // match the values the index was built with for edits to preserve its
 // geometry.

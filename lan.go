@@ -31,7 +31,6 @@ package lan
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
@@ -51,7 +50,7 @@ const (
 	// read-only — Insert, Delete and Compact return ErrReadOnly.
 	StoreMMap = "mmap"
 	// StoreRAM materializes the snapshot into ordinary heap structures at
-	// open; the index is then writable, exactly as if loaded with Load.
+	// open; the index is then writable, exactly like a built one.
 	StoreRAM = "ram"
 )
 
@@ -59,19 +58,15 @@ const (
 // opened with the mmap store.
 var ErrReadOnly = mutable.ErrReadOnly
 
-// Errors surfaced when opening binary snapshots: the file is not a
-// binary snapshot at all, was written by a newer format version than
-// this build reads, or fails structural validation / checksums.
+// Errors surfaced when opening snapshots: the file is not a snapshot at
+// all (a JSON index from an older release, say), was written by a newer
+// format version than this build reads, or fails structural validation
+// or checksums.
 var (
 	ErrNotSnapshot   = lanstore.ErrNotSnapshot
 	ErrFutureVersion = lanstore.ErrFutureVersion
 	ErrCorrupt       = lanstore.ErrCorrupt
 )
-
-// IsSnapshotFile reports whether path is a binary snapshot (of any
-// format version — possibly one this build cannot read). Tools use it
-// to route a file to OpenSnapshot versus the JSON Load path.
-func IsSnapshotFile(path string) (bool, error) { return lanstore.IsSnapshot(path) }
 
 // Options configure Build. The zero value is usable.
 type Options struct {
@@ -129,9 +124,9 @@ type Options struct {
 	QueryWorkers int
 	// Seed makes builds reproducible.
 	Seed int64
-	// Store selects the storage tier when opening a binary snapshot with
-	// OpenSnapshot: StoreMMap (the default) or StoreRAM. Build and Load
-	// ignore it — their indexes are always RAM-resident.
+	// Store selects the storage tier when opening a snapshot with
+	// OpenSnapshot: StoreMMap (the default) or StoreRAM. Build ignores
+	// it — a built index is always RAM-resident.
 	Store string
 }
 
@@ -243,7 +238,7 @@ func ReadTraceSegments(dir string, fn func(*Trace) error) (TraceReplayStats, err
 type Index struct {
 	mut *mutable.Index
 	// store backs an mmap-opened index; Close releases the mapping. Nil
-	// for built, Load-ed and ram-materialized indexes.
+	// for built and ram-materialized indexes.
 	store *lanstore.Store
 }
 
@@ -272,7 +267,7 @@ func Build(db graph.Database, trainQueries []*graph.Graph, o Options) (*Index, e
 	if err != nil {
 		return nil, err
 	}
-	mut, err := mutable.New(eng, nil, 0)
+	mut, err := mutable.New(eng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,70 +320,6 @@ func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph,
 	return out, stats, nil
 }
 
-// Save writes the trained index (proximity graph, calibration, clustering
-// and model parameters) to w. The database itself is not included; store
-// it separately (e.g. with graph.WriteText, via Database) and re-supply
-// it to Load — after inserts that means the grown database, not the one
-// Build saw. An index that was never mutated serializes as format
-// version 1, loadable by pre-mutation readers; a mutated one is version
-// 2 and additionally carries the epoch and per-graph validity stamps.
-// Save captures one consistent snapshot: writes landing concurrently
-// are either fully included or fully absent.
-func (x *Index) Save(w io.Writer) error {
-	snap := x.mut.Snapshot()
-	return snap.Engine.SaveWithState(w, snap.State())
-}
-
-// WriteTo implements io.WriterTo: it serializes the index like Save and
-// reports the number of bytes written, so the snapshot composes with
-// io.Copy-style plumbing (files, network conns, hash writers).
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if err := x.Save(cw); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReadIndex restores an index written by WriteTo (or Save) over the same
-// database; it is the reader-side pair of WriteTo. The GED metrics are
-// code and must be re-supplied via Options (zero-value defaults match
-// Build's).
-func ReadIndex(db graph.Database, r io.Reader, o Options) (*Index, error) {
-	return Load(db, r, o)
-}
-
-// Load restores an index saved with Save over the same database. The GED
-// metrics are code and must be re-supplied via Options (zero-value
-// defaults match Build's). Version-2 snapshots restore the mutation
-// state too: tombstoned graphs stay invisible to searches and the epoch
-// continues where it left off.
-func Load(db graph.Database, r io.Reader, o Options) (*Index, error) {
-	eng, st, version, err := core.LoadWithState(db, r, core.Options{
-		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
-		Workers: o.Workers, QueryWorkers: o.QueryWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mut, err := mutable.New(eng, st, version)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{mut: mut}, nil
-}
-
 // SnapshotOptions configure SaveSnapshot.
 type SnapshotOptions struct {
 	// Precision selects how M_rk's node-embedding table is stored:
@@ -414,13 +345,15 @@ func quantOf(precision string) (lanstore.Quant, error) {
 }
 
 // SaveSnapshot writes the index as a self-contained binary snapshot
-// (format version 3): unlike Save, the database travels inside the file,
-// and the layout is designed to be memory-mapped — OpenSnapshot with the
-// mmap store serves queries from it without materializing the database
-// in RAM. The write is atomic (temp file + rename). Like Save it
-// captures one consistent point-in-time state. An index opened with the
-// mmap store cannot be re-saved; open with StoreRAM to materialize it
-// first.
+// (format version 3): the proximity graph, the trained models, the
+// calibration, the mutation state and the database itself all travel
+// inside the file, and the layout is designed to be memory-mapped —
+// OpenSnapshot with the mmap store serves queries from it without
+// materializing the database in RAM. The write is atomic and durable
+// (synced temp file + rename). It captures one consistent point-in-time
+// state: writes landing concurrently are either fully included or fully
+// absent. An index opened with the mmap store cannot be re-saved; open
+// with StoreRAM to materialize it first.
 func (x *Index) SaveSnapshot(path string, so SnapshotOptions) error {
 	quant, err := quantOf(so.Precision)
 	if err != nil {
@@ -430,14 +363,16 @@ func (x *Index) SaveSnapshot(path string, so SnapshotOptions) error {
 	return core.SaveSnapshotV3(path, snap.Engine, snap.State(), quant)
 }
 
-// OpenSnapshot opens a binary snapshot written by SaveSnapshot. The
-// database is inside the file — nothing else is re-supplied, though the
-// GED metrics (code, not data) come from Options as with Load.
+// OpenSnapshot opens a snapshot written by SaveSnapshot. The database is
+// inside the file; only the GED metrics (code, not data) are re-supplied
+// via Options (zero-value defaults match Build's). Tombstoned graphs
+// stay invisible to searches and the epoch continues where it left off.
 //
 // Options.Store selects the tier: StoreMMap (default) serves queries
 // off the mapping with resident memory far below database size and
 // returns a read-only index; StoreRAM verifies and materializes
-// everything, returning a writable index indistinguishable from Load's.
+// everything, returning a writable index indistinguishable from the one
+// that was saved.
 // With full-precision embeddings both tiers return bit-identical
 // results, stats and routing trajectories.
 //
@@ -461,9 +396,9 @@ func OpenSnapshot(path string, o Options) (*Index, error) {
 	}
 	var mut *mutable.Index
 	if mmap {
-		mut, err = mutable.NewReadOnly(eng, st, core.SnapshotVersionV3)
+		mut, err = mutable.NewReadOnly(eng, st)
 	} else {
-		mut, err = mutable.New(eng, st, core.SnapshotVersionV3)
+		mut, err = mutable.New(eng, st)
 	}
 	if err != nil {
 		if store != nil {
@@ -499,8 +434,8 @@ func (x *Index) Graph(id int) *graph.Graph {
 }
 
 // Database returns the current database view: Build's graphs followed by
-// every insert, tombstoned members included. Persist it alongside Save's
-// snapshot (e.g. with graph.WriteText) and re-supply it to Load.
+// every insert, tombstoned members included. On an mmap-opened index the
+// entries are nil (the graphs stay in the snapshot); use Graph.
 func (x *Index) Database() graph.Database { return x.engine().DB }
 
 // Insert adds g to the index and returns its assigned id. The graph is
@@ -551,19 +486,6 @@ func (x *Index) Close() error {
 // epoch into their keys — see lan-serve — so entries expire exactly
 // when the index changes.
 func (x *Index) Epoch() uint64 { return x.mut.Epoch() }
-
-// FormatVersion reports the snapshot format version: the version the
-// index was loaded from, or for in-memory indexes the version Save
-// would write now (1 until the first mutation, 2 after).
-func (x *Index) FormatVersion() int {
-	if v := x.mut.LoadedVersion(); v > 0 {
-		return v
-	}
-	if x.mut.Epoch() > 0 {
-		return 2
-	}
-	return 1
-}
 
 // IndexSnapshot is a pinned point-in-time read view of an Index.
 // Searches against it return bit-identical results, stats and NDC for

@@ -6,7 +6,6 @@ package lanio
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/lansearch/lan"
@@ -63,60 +62,4 @@ func BuildIndex(db graph.Database, queries []*graph.Graph, p BuildParams) (*lan.
 		Dim: p.Dim, M: p.M, Epochs: p.Epochs, GammaKNN: p.GammaKNN,
 		Workers: p.Workers, Seed: p.Seed,
 	})
-}
-
-// SaveIndex writes a trained index snapshot to path (atomically: the
-// snapshot lands under a temporary name and is renamed into place, so a
-// crash mid-write never leaves a truncated index for lan-serve to load).
-func SaveIndex(path string, idx *lan.Index) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := idx.WriteTo(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// OpenIndex opens an index file of either supported format, sniffing
-// the content: binary snapshots (written by lan.Index.SaveSnapshot) are
-// self-contained — db may be nil — and open through the storage tier
-// o.Store selects; anything else is treated as a JSON snapshot restored
-// over db with LoadIndex. Binary snapshots from a newer format version
-// are rejected by name (lan.ErrFutureVersion) instead of falling
-// through to a JSON parse error.
-func OpenIndex(path string, db graph.Database, o lan.Options) (*lan.Index, error) {
-	snap, err := lan.IsSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if snap {
-		return lan.OpenSnapshot(path, o)
-	}
-	if db == nil {
-		return nil, fmt.Errorf("lanio: %s is a JSON index snapshot and needs its database (binary snapshots made with SaveSnapshot are self-contained)", path)
-	}
-	return LoadIndex(path, db, o)
-}
-
-// LoadIndex restores an index snapshot from path over db (the database
-// lan-train built it on, reloaded with ReadDatabase). Options supply the
-// GED metrics; the zero value matches lan-train's defaults.
-func LoadIndex(path string, db graph.Database, o lan.Options) (*lan.Index, error) {
-	if err := db.Validate(); err != nil {
-		return nil, fmt.Errorf("lanio: %w", err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return lan.ReadIndex(db, f, o)
 }

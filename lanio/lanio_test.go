@@ -1,10 +1,9 @@
 package lanio
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"github.com/lansearch/lan"
@@ -71,6 +70,9 @@ func TestReadQueriesStripsIDs(t *testing.T) {
 	}
 }
 
+// TestSaveLoadIndexRoundTrip: an index built from BuildParams saves
+// atomically (no temp file left next to the snapshot) and reopens, on
+// both store tiers, to an index that answers every query identically.
 func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	spec := dataset.AIDS(0.002)
 	db := spec.Generate()
@@ -80,145 +82,45 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
+	defer idx.Close()
 
-	path := filepath.Join(t.TempDir(), "idx.lan")
-	if err := SaveIndex(path, idx); err != nil {
-		t.Fatalf("SaveIndex: %v", err)
+	path := filepath.Join(t.TempDir(), "idx.lansnap")
+	if err := idx.SaveSnapshot(path, lan.SnapshotOptions{}); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
 	}
-	// Atomic write: no leftover temp files next to the snapshot.
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 {
-		t.Fatalf("stray files after SaveIndex: %v", entries)
+		t.Fatalf("stray files after SaveSnapshot: %v", entries)
 	}
 
-	loaded, err := LoadIndex(path, db, lan.Options{})
-	if err != nil {
-		t.Fatalf("LoadIndex: %v", err)
-	}
-	if loaded.Len() != idx.Len() {
-		t.Fatalf("Len = %d; want %d", loaded.Len(), idx.Len())
-	}
-	for qi, q := range test {
-		want, _, err := idx.Search(q, lan.SearchOptions{K: 3, Beam: 10})
+	so := lan.SearchOptions{K: 3, Beam: 10}
+	for _, store := range []string{lan.StoreRAM, lan.StoreMMap} {
+		loaded, err := lan.OpenSnapshot(path, lan.Options{Store: store})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("OpenSnapshot(%s): %v", store, err)
 		}
-		got, _, err := loaded.Search(q, lan.SearchOptions{K: 3, Beam: 10})
-		if err != nil {
-			t.Fatal(err)
+		if loaded.Len() != idx.Len() {
+			t.Fatalf("%s: Len = %d; want %d", store, loaded.Len(), idx.Len())
 		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results; want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d result %d: %+v != %+v", qi, i, got[i], want[i])
+		for qi, q := range test {
+			want, _, err := idx.Search(q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := loaded.Search(q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: %v != %v", store, qi, got, want)
 			}
 		}
-	}
-}
-
-// TestSnapshotFormatVersions pins the on-disk compatibility contract: a
-// never-mutated index saves as format version 1 (byte-compatible with
-// pre-mutation readers), a mutated index saves as version 2 carrying its
-// epoch and validity stamps through a round trip, and snapshots from a
-// future format are rejected with a version-naming error instead of a
-// garbage decode.
-func TestSnapshotFormatVersions(t *testing.T) {
-	spec := dataset.AIDS(0.002)
-	db := spec.Generate()
-	queries := dataset.Workload(db, spec, 10, 5)
-	train, _, test := dataset.Split(queries)
-	idx, err := BuildIndex(db, train, BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-
-	version := func(path string) int {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		if err := loaded.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", store, err)
 		}
-		var hdr struct {
-			Version int `json:"version"`
-		}
-		if err := json.Unmarshal(raw, &hdr); err != nil {
-			t.Fatal(err)
-		}
-		return hdr.Version
-	}
-
-	// Fresh build: version 1 on the wire and after reload.
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.lan")
-	if err := SaveIndex(v1, idx); err != nil {
-		t.Fatal(err)
-	}
-	if got := version(v1); got != 1 {
-		t.Fatalf("unmutated snapshot version = %d; want 1", got)
-	}
-	loaded1, err := LoadIndex(v1, db, lan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded1.FormatVersion() != 1 {
-		t.Fatalf("FormatVersion = %d; want 1", loaded1.FormatVersion())
-	}
-
-	// Mutate (one insert, one delete), then save: version 2 carrying the
-	// write history. Quiesce first so the background optimizer cannot
-	// bump the epoch between save and comparison.
-	insID, err := idx.Insert(test[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	idx.Quiesce()
-	v2 := filepath.Join(dir, "v2.lan")
-	if err := SaveIndex(v2, idx); err != nil {
-		t.Fatal(err)
-	}
-	if got := version(v2); got != 2 {
-		t.Fatalf("mutated snapshot version = %d; want 2", got)
-	}
-	loaded2, err := LoadIndex(v2, idx.Database(), lan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded2.Close()
-	if loaded2.FormatVersion() != 2 {
-		t.Fatalf("FormatVersion = %d; want 2", loaded2.FormatVersion())
-	}
-	if loaded2.Epoch() != idx.Epoch() || loaded2.Len() != idx.Len() {
-		t.Fatalf("round trip: epoch %d/%d, len %d/%d", loaded2.Epoch(), idx.Epoch(), loaded2.Len(), idx.Len())
-	}
-	// The inserted graph survived the round trip as a searchable member…
-	res, _, err := loaded2.Search(test[0], lan.SearchOptions{K: 3, Beam: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 || res[0].ID != insID || res[0].Dist != 0 {
-		t.Fatalf("inserted graph lost in round trip: %+v", res)
-	}
-	// …and the deleted one is still dead (a second delete is an error).
-	if err := loaded2.Delete(0); err == nil {
-		t.Fatal("graph 0 came back from the dead after the round trip")
-	}
-
-	// A snapshot from the future is refused, naming the version.
-	v3 := filepath.Join(dir, "v3.lan")
-	if err := os.WriteFile(v3, []byte(`{"version": 3}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIndex(v3, db, lan.Options{}); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("future snapshot not rejected clearly: %v", err)
 	}
 }
 
@@ -229,8 +131,9 @@ func TestSaveIndexUnwritableDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveIndex(filepath.Join(t.TempDir(), "missing", "idx.lan"), idx); err == nil {
-		t.Fatal("SaveIndex into a missing directory succeeded")
+	defer idx.Close()
+	if err := idx.SaveSnapshot(filepath.Join(t.TempDir(), "missing", "idx.lansnap"), lan.SnapshotOptions{}); err == nil {
+		t.Fatal("SaveSnapshot into a missing directory succeeded")
 	}
 }
 

@@ -7,9 +7,10 @@
 // bit-identical throughout. After the churn it quiesces the optimizer,
 // compacts the tombstones and re-checks search sanity.
 //
-// Over HTTP, it boots lan-serve with -writable, drives POST /insert and
-// /delete, and verifies the epoch advances, the result cache is
-// invalidated (epoch-keyed), and the write metric families are exposed.
+// Over HTTP, it boots lan-serve with -store ram -writable, drives POST
+// /insert and /delete, and verifies the epoch advances, the result cache
+// is invalidated (epoch-keyed), and the write metric families are
+// exposed.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // works as a CI gate without extra tooling.
@@ -175,24 +176,12 @@ func serveWrites(db graph.Database, queries []*graph.Graph) error {
 	}
 	defer os.RemoveAll(dir)
 
-	dbPath := filepath.Join(dir, "db.txt")
-	f, err := os.Create(dbPath)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteText(f, db); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
 	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
 	if err != nil {
 		return err
 	}
-	idxPath := filepath.Join(dir, "idx.lan")
-	if err := lanio.SaveIndex(idxPath, idx); err != nil {
+	idxPath := filepath.Join(dir, "idx.lansnap")
+	if err := idx.SaveSnapshot(idxPath, lan.SnapshotOptions{}); err != nil {
 		return err
 	}
 
@@ -200,7 +189,7 @@ func serveWrites(db graph.Database, queries []*graph.Graph) error {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lan-serve").CombinedOutput(); err != nil {
 		return fmt.Errorf("go build ./cmd/lan-serve: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, "-db", dbPath, "-index", idxPath, "-addr", "127.0.0.1:0", "-writable", "-shutdown-grace", "5s")
+	cmd := exec.Command(bin, "-index", idxPath, "-store", "ram", "-writable", "-addr", "127.0.0.1:0", "-shutdown-grace", "5s")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err

@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/lanio"
@@ -47,29 +48,17 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	// A tiny database and index on disk, exactly as lan-gen + lan-train
-	// would produce them.
+	// A tiny index snapshot on disk, exactly as lan-gen + lan-train would
+	// produce it.
 	spec := dataset.AIDS(0.002)
 	db := spec.Generate()
-	dbPath := filepath.Join(dir, "db.txt")
-	f, err := os.Create(dbPath)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteText(f, db); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
 	queries := dataset.Workload(db, spec, 10, 1)
 	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
 	if err != nil {
 		return fmt.Errorf("building index: %w", err)
 	}
-	idxPath := filepath.Join(dir, "idx.lan")
-	if err := lanio.SaveIndex(idxPath, idx); err != nil {
+	idxPath := filepath.Join(dir, "idx.lansnap")
+	if err := idx.SaveSnapshot(idxPath, lan.SnapshotOptions{}); err != nil {
 		return err
 	}
 
@@ -79,7 +68,7 @@ func run() error {
 	}
 
 	traceDir := filepath.Join(dir, "traces")
-	cmd := exec.Command(bin, "-db", dbPath, "-index", idxPath, "-addr", "127.0.0.1:0",
+	cmd := exec.Command(bin, "-index", idxPath, "-addr", "127.0.0.1:0",
 		"-shutdown-grace", "5s", "-trace-dir", traceDir)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

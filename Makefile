@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-baseline test race bench bench-diff bench-smoke experiments examples serve-smoke store-smoke mutate-smoke clean
+.PHONY: all build vet lint lint-fix lint-baseline test race bench bench-smoke experiments examples serve-smoke store-smoke mutate-smoke clean
 
 all: build vet lint test
 
@@ -43,13 +43,12 @@ race:
 	$(GO) test -race -short ./...
 
 # Micro-benchmarks (mat kernels, GED beam kernel, parallel vs sequential
-# PG build, pool resize, root package ablations) plus the end-to-end
-# lan-bench run, which writes a BENCH_<timestamp>.json summary with build
-# and query speedups and latency percentiles; see DESIGN.md "Performance
-# architecture".
+# PG build, pool resize, root package ablations) plus one end-to-end run
+# of the repository benchmark's syn-mmap workload (BENCHMARK.json,
+# lanbench/README.md), which prints its metrics as JSON on stdout.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged .
-	$(GO) run ./cmd/lan-bench -exp tab1
+	bash lanbench/run.sh --workload syn-mmap --seed 1 --seconds 16 --trace 0
 
 # Benchmark smoke for CI: every benchmark runs exactly once so a
 # regression that panics or deadlocks is caught without paying for
@@ -60,12 +59,6 @@ bench-smoke:
 # Regenerate the paper's evaluation on the dataset simulators.
 experiments:
 	$(GO) run ./cmd/lan-bench -exp all
-
-# Markdown report of the newest BENCH_*.json against the previous one:
-# recall/QPS/NDC deltas per cell, build times, storage-tier sweep.
-# Report-only (always exits 0 on well-formed input).
-bench-diff:
-	$(GO) run ./scripts/bench-diff
 
 # Boot lan-serve on a tiny generated database, hit /search and /metrics,
 # and verify it drains within 5s of SIGTERM.

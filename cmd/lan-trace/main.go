@@ -1,4 +1,4 @@
-// Command lan-trace replays query traces exported by lan-serve/lan-bench
+// Command lan-trace replays query traces exported by lan-serve
 // (-trace-dir) and prints an offline analysis: per-stage latency and NDC
 // percentiles, γ-step and opened-vs-ranked distributions, and the span
 // trees of the slowest queries.
@@ -12,7 +12,7 @@
 // Segment files carry a versioned header line ({"format":"lan.trace",...});
 // a truncated final record — a crash mid-write — is skipped and counted,
 // never an error. Bare positional files without the header are read as
-// plain trace JSONL (the lan-bench -trace stderr format).
+// plain trace JSONL (the lan-search -trace stderr format).
 package main
 
 import (
@@ -66,7 +66,7 @@ func main() {
 }
 
 // readFile replays one file: a headered segment via the crash-tolerant
-// reader, a bare trace-JSONL file (lan-bench -trace output) line by line.
+// reader, a bare trace-JSONL file (lan-search -trace output) line by line.
 func readFile(path string, fn func(*obs.Trace) error) (obs.ReplayStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -173,8 +173,8 @@ func Workload(db graph.Database, spec Spec, n int, seed int64) []*graph.Graph {
 // the number of edit operations, and a private generator seed. A stored
 // list of specs regenerates the exact same query graphs run after run —
 // independent of each other and of any later change to how Workload
-// samples — which is what keeps benchmark numbers comparable across
-// commits (see testdata/bench_queries.json and scripts/bench-diff).
+// samples — which is what keeps lan-bench's recall and NDC rows
+// comparable across commits (see testdata/bench_queries.json).
 type QuerySpec struct {
 	Base int   `json:"base"`
 	Ops  int   `json:"ops"`

@@ -10,8 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -20,7 +18,6 @@ import (
 	"github.com/lansearch/lan/internal/core"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/l2route"
-	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/pg"
 )
@@ -54,11 +51,6 @@ type Protocol struct {
 	// The built index is bit-identical for every setting, so benchmark
 	// numbers stay comparable across worker counts.
 	Workers int
-	// QueryWorkers bounds the per-query distance-evaluation pool used by
-	// the parallel query-path benchmark leg (0 means runtime.NumCPU).
-	// Search results, NDC and routing trajectories are bit-identical for
-	// every setting; only wall time changes.
-	QueryWorkers int
 	// Seed drives everything.
 	Seed int64
 	// Datasets, when non-empty, restricts Specs() to the named datasets
@@ -71,20 +63,6 @@ type Protocol struct {
 	// not fit the generated database (different -scale) falls back to
 	// sampling.
 	QuerySets map[string][]dataset.QuerySpec
-	// Store selects the storage tier query measurements run on: "" or
-	// lan's StoreRAM keep the built engine; "mmap" saves a binary
-	// snapshot and reopens it memory-mapped, so every figure and bench
-	// point exercises the on-disk fetch path.
-	Store string
-	// TraceDir, when set, enables the trace-overhead benchmark leg: the
-	// bench workload is answered once untraced and once with per-query
-	// traces exported as JSONL segments under TraceDir, and the p50
-	// regression is reported (BenchReport.TracePoints).
-	TraceDir string
-	// TraceSample is the exporter's sampling fraction for the traced leg
-	// (0 defaults to 1: export everything — the worst case the overhead
-	// gate should measure).
-	TraceSample float64
 }
 
 // DefaultProtocol returns a laptop-sized configuration.
@@ -141,9 +119,6 @@ type Env struct {
 	// BuildTime is the wall time spent constructing and training the LAN
 	// engine and the L2route baseline (ground-truth computation excluded).
 	BuildTime time.Duration
-	// Store backs Engine when the protocol runs on the mmap tier
-	// (Protocol.Store); nil on the default RAM tier.
-	Store *lanstore.Store
 }
 
 // NewEnv generates the dataset, builds and trains the LAN engine and the
@@ -175,11 +150,6 @@ func NewEnv(p Protocol, spec dataset.Spec) (*Env, error) {
 	buildTime := time.Since(buildStart)
 
 	env := &Env{Protocol: p, Spec: spec, DB: db, Engine: eng, L2: l2, Train: train, Test: test, BuildTime: buildTime}
-	if p.Store == "mmap" {
-		if err := env.reopenMMap(); err != nil {
-			return nil, err
-		}
-	}
 	env.Truth = dataset.ComputeGroundTruth(db, test, p.QueryMetric, p.K)
 	return env, nil
 }
@@ -194,32 +164,6 @@ func envWorkload(p Protocol, db graph.Database, spec dataset.Spec) []*graph.Grap
 		}
 	}
 	return dataset.Workload(db, spec, p.Queries, p.Seed+7)
-}
-
-// reopenMMap swaps the freshly built RAM engine for one serving the same
-// index off a memory-mapped binary snapshot, so every measurement in
-// this environment exercises the on-disk candidate-fetch path. The
-// snapshot lands in a temporary directory that lives for the process.
-func (e *Env) reopenMMap() error {
-	dir, err := os.MkdirTemp("", "lan-bench-store-*")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, e.Spec.Name+".lansnap")
-	if err := core.SaveSnapshotV3(path, e.Engine, nil, lanstore.QuantF64); err != nil {
-		return err
-	}
-	p := e.Protocol
-	eng, _, store, err := core.OpenSnapshotV3(path, core.Options{
-		BuildMetric: p.buildMetric(), QueryMetric: p.QueryMetric,
-		Workers: p.Workers, QueryWorkers: p.QueryWorkers,
-	}, true)
-	if err != nil {
-		return err
-	}
-	e.Engine = eng
-	e.Store = store
-	return nil
 }
 
 // Point is one (recall, QPS) measurement of a method at one beam setting.
@@ -277,11 +221,4 @@ func (p Protocol) buildMetric() ged.Metric {
 		return p.BuildMetric
 	}
 	return ged.Ensemble{BeamWidth: 2}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,18 +12,11 @@ import (
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // EnvCache memoizes environments per spec name so that running several
-// figures plus the bench summary in one process (e.g. -exp all) builds
-// and trains each dataset's engine once.
+// figures in one process (e.g. -exp all) builds and trains each
+// dataset's engine once. The zero value is ready to use.
 type EnvCache struct {
 	byName map[string]*Env
-	// storePoints accumulates StoreSweep results run through this cache,
-	// so a later Bench() folds them into the report without re-running
-	// the sweep.
-	storePoints []StorePoint
 }
-
-// NewEnvCache returns an empty cache for sharing across RunCached/Bench.
-func NewEnvCache() *EnvCache { return &EnvCache{} }
 
 // Get returns the memoized environment for spec, building it on first use.
 func (c *EnvCache) Get(p Protocol, spec dataset.Spec) (*Env, error) {
@@ -42,16 +35,10 @@ func (c *EnvCache) Get(p Protocol, spec dataset.Spec) (*Env, error) {
 }
 
 // Run executes one named experiment and writes its rows to w. Valid names
-// are tab1 and fig5..fig12; "all" runs everything (sharing dataset
+// are tab1, fig5..fig12 and scal; "all" runs everything (sharing dataset
 // environments across figures).
 func Run(w io.Writer, name string, p Protocol) error {
-	return RunCached(w, name, p, NewEnvCache())
-}
-
-// RunCached is Run with a caller-owned environment cache, so follow-up
-// work (another experiment, a Bench summary) reuses the trained engines.
-func RunCached(w io.Writer, name string, p Protocol, cache *EnvCache) error {
-	return run(w, name, p, cache)
+	return run(w, name, p, &EnvCache{})
 }
 
 func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
@@ -134,7 +121,7 @@ func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
 				row.CGSpeedup, row.HAGSpeedup)
 		}
 	case "scal":
-		if _, err := StoreSweep(p, cache, w); err != nil {
+		if err := StoreSweep(p, cache, w); err != nil {
 			return err
 		}
 	case "all":
@@ -170,5 +157,3 @@ func figTitle(name string) string {
 		return name
 	}
 }
-
-var _ = dataset.Spec{} // keep the dataset import for doc references

@@ -34,43 +34,43 @@ var storeFactors = []float64{1, 10, 50}
 // SnapshotBytes across the sweep is the beyond-RAM claim this point
 // exists to demonstrate.
 type StorePoint struct {
-	Dataset       string  `json:"dataset"`
-	Graphs        int     `json:"graphs"`
-	SizeFactor    float64 `json:"size_factor"`
-	Quant         string  `json:"quant"`
-	Queries       int     `json:"queries"`
-	Beam          int     `json:"beam"`
-	BuildSeconds  float64 `json:"build_seconds"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
+	Dataset       string
+	Graphs        int
+	SizeFactor    float64
+	Quant         string
+	Queries       int
+	Beam          int
+	BuildSeconds  float64
+	SnapshotBytes int64
 
 	// Identical reports whether the mmap tier reproduced the RAM tier
 	// exactly: per-query answer lists (ids and distances), NDC and
 	// explored counts. Both tiers decode the same stored embeddings, so
 	// this must hold at every quantization.
-	Identical bool `json:"identical"`
+	Identical bool
 	// F64Overlap is the mean per-query fraction of the full-precision
 	// answer ids this quantization retains (1 for quant=f64 by
 	// construction); RecallEpsilon is its complement — the recall@k an
 	// index quantized this way can lose against full precision.
-	F64Overlap    float64 `json:"f64_overlap"`
-	RecallEpsilon float64 `json:"recall_epsilon"`
+	F64Overlap    float64
+	RecallEpsilon float64
 
-	RAMOpenSeconds  float64 `json:"ram_open_seconds"`
-	MMapOpenSeconds float64 `json:"mmap_open_seconds"`
-	RAMQPS          float64 `json:"ram_qps"`
-	MMapQPS         float64 `json:"mmap_qps"`
+	RAMOpenSeconds  float64
+	MMapOpenSeconds float64
+	RAMQPS          float64
+	MMapQPS         float64
 
-	BaselineRSSBytes uint64 `json:"baseline_rss_bytes"`
-	RAMRSSBytes      uint64 `json:"ram_rss_bytes"`
-	MMapRSSBytes     uint64 `json:"mmap_rss_bytes"`
+	BaselineRSSBytes uint64
+	RAMRSSBytes      uint64
+	MMapRSSBytes     uint64
 	// PeakRSSBytes is the process high-water mark after the point ran —
 	// monotonic across the whole process, so only comparable within one
 	// sweep ordering.
-	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
+	PeakRSSBytes uint64
 	// MMapGraphFetches / MMapFetchBatches are the store counters the
 	// mmap leg added: batches ≪ fetches is the IO-batching at work.
-	MMapGraphFetches uint64 `json:"mmap_graph_fetches"`
-	MMapFetchBatches uint64 `json:"mmap_fetch_batches"`
+	MMapGraphFetches uint64
+	MMapFetchBatches uint64
 }
 
 // storeOutcome is one query's comparable answer.
@@ -86,10 +86,10 @@ type storeOutcome struct {
 // plain engine (no L2route baseline, no exact ground truth — answers are
 // compared between tiers and against full precision, which is what the
 // storage tier can change).
-func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) ([]StorePoint, error) {
+func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) error {
 	dir, err := os.MkdirTemp("", "lan-store-sweep-*")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 
@@ -102,13 +102,12 @@ func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) ([]StorePoint, error) 
 	fmt.Fprintf(w, "  %-7s %7s %5s %10s %6s %8s %8s %9s %9s %9s %8s\n",
 		"factor", "graphs", "quant", "snapshot", "ident", "eps", "ramQPS", "mmapQPS", "ramRSS", "mmapRSS", "batches")
 
-	var out []StorePoint
 	for _, factor := range storeFactors {
 		spec := dataset.SYN(p.Scale * 42687 / 1000000 * factor)
 		spec.Name = fmt.Sprintf("SYN(x%g)", factor)
 		db, queries, eng, buildSec, err := storeBuild(p, cache, spec, factor)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		quants := []lanstore.Quant{lanstore.QuantF64, lanstore.QuantInt8}
@@ -120,7 +119,7 @@ func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) ([]StorePoint, error) 
 		for _, q := range quants {
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.lansnap", spec.Name, q))
 			if err := core.SaveSnapshotV3(path, eng, nil, q); err != nil {
-				return nil, err
+				return err
 			}
 			paths[q] = path
 		}
@@ -148,14 +147,14 @@ func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) ([]StorePoint, error) 
 			fetches0, batches0 := m0.GraphFetches.Value(), m0.FetchBatches.Value()
 			mmapOut, err := storeLeg(p, paths[q], true, queries, beam, &pt.MMapOpenSeconds, &pt.MMapQPS, &pt.MMapRSSBytes)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s %s mmap: %w", spec.Name, q, err)
+				return fmt.Errorf("experiments: %s %s mmap: %w", spec.Name, q, err)
 			}
 			pt.MMapGraphFetches = m0.GraphFetches.Value() - fetches0
 			pt.MMapFetchBatches = m0.FetchBatches.Value() - batches0
 
 			ramOut, err := storeLeg(p, paths[q], false, queries, beam, &pt.RAMOpenSeconds, &pt.RAMQPS, &pt.RAMRSSBytes)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s %s ram: %w", spec.Name, q, err)
+				return fmt.Errorf("experiments: %s %s ram: %w", spec.Name, q, err)
 			}
 			pt.Identical = reflect.DeepEqual(mmapOut, ramOut)
 			if q == lanstore.QuantF64 {
@@ -168,13 +167,9 @@ func StoreSweep(p Protocol, cache *EnvCache, w io.Writer) ([]StorePoint, error) 
 			fmt.Fprintf(w, "  %-7g %7d %5s %10d %6v %8.3f %8.2f %9.2f %8dK %8dK %8d\n",
 				factor, len(db), q, pt.SnapshotBytes, pt.Identical, pt.RecallEpsilon,
 				pt.RAMQPS, pt.MMapQPS, pt.RAMRSSBytes/1024, pt.MMapRSSBytes/1024, pt.MMapFetchBatches)
-			out = append(out, pt)
 		}
 	}
-	if cache != nil {
-		cache.storePoints = append(cache.storePoints, out...)
-	}
-	return out, nil
+	return nil
 }
 
 // storeBuild returns the database, test workload and trained engine for
@@ -185,9 +180,7 @@ func storeBuild(p Protocol, cache *EnvCache, spec dataset.Spec, factor float64) 
 	if factor == storeFactors[0] && cache != nil {
 		base := dataset.SYN(p.Scale * 42687 / 1000000)
 		if env, err := cache.Get(p, base); err == nil {
-			if _, mm := env.Engine.Graphs.(*lanstore.Store); !mm {
-				return env.DB, env.Test, env.Engine, env.BuildTime.Seconds(), nil
-			}
+			return env.DB, env.Test, env.Engine, env.BuildTime.Seconds(), nil
 		}
 	}
 	db := spec.Generate()
@@ -215,7 +208,7 @@ func storeLeg(p Protocol, path string, mmap bool, queries []*graph.Graph, beam i
 	openStart := time.Now()
 	eng, _, store, err := core.OpenSnapshotV3(path, core.Options{
 		BuildMetric: p.buildMetric(), QueryMetric: p.QueryMetric,
-		Workers: p.Workers, QueryWorkers: p.QueryWorkers,
+		Workers: p.Workers,
 	}, mmap)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"github.com/lansearch/lan/internal/core"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/models"
+	"github.com/lansearch/lan/internal/obs"
 )
 
 var fixture struct {
@@ -50,8 +51,26 @@ func newIndex(t *testing.T) (*Index, graph.Database, []*graph.Graph) {
 	return x, db, test
 }
 
+// writeCounts reads the process-wide write-path families: applied
+// inserts, applied deletes, and apply-latency observations.
+func writeCounts() [3]uint64 {
+	m := obs.Mutate()
+	return [3]uint64{m.Inserts.Value(), m.Deletes.Value(), m.ApplySeconds.Count()}
+}
+
 func TestInsertDeleteEpochsAndCounts(t *testing.T) {
 	x, db, test := newIndex(t)
+	// wantWrites checks that the write-path metrics moved by exactly the
+	// applied writes since the index was built.
+	base := writeCounts()
+	wantWrites := func(when string, inserts, deletes uint64) {
+		t.Helper()
+		now := writeCounts()
+		got := [3]uint64{now[0] - base[0], now[1] - base[1], now[2] - base[2]}
+		if want := [3]uint64{inserts, deletes, inserts + deletes}; got != want {
+			t.Fatalf("%s: inserts/deletes/applies moved by %v; want %v", when, got, want)
+		}
+	}
 
 	if x.Epoch() != 0 || x.Len() != len(db) || x.Total() != len(db) {
 		t.Fatalf("fresh index: epoch %d, len %d, total %d", x.Epoch(), x.Len(), x.Total())
@@ -74,6 +93,7 @@ func TestInsertDeleteEpochsAndCounts(t *testing.T) {
 	if test[0].ID == id {
 		t.Fatal("Insert re-labeled the caller's graph in place")
 	}
+	wantWrites("after insert", 1, 0)
 
 	before := x.Epoch()
 	if err := x.Delete(0); err != nil {
@@ -85,6 +105,7 @@ func TestInsertDeleteEpochsAndCounts(t *testing.T) {
 	if x.Len() != len(db) || x.Total() != len(db)+1 {
 		t.Fatalf("after delete: len %d, total %d (husk must stay in the id space)", x.Len(), x.Total())
 	}
+	wantWrites("after delete", 1, 1)
 
 	if err := x.Delete(0); err == nil {
 		t.Fatal("double delete accepted")
@@ -98,6 +119,7 @@ func TestInsertDeleteEpochsAndCounts(t *testing.T) {
 	if _, err := x.Insert(nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
+	wantWrites("after rejected writes", 1, 1)
 }
 
 func TestSnapshotIsolation(t *testing.T) {

@@ -1,7 +1,6 @@
 // Command gen-queryset regenerates testdata/bench_queries.json: the
 // pinned per-dataset query workloads lan-bench runs by default, so that
-// recall and latency numbers stay comparable across commits (see
-// scripts/bench-diff). Each entry pins one query as (base graph id,
+// its recall and NDC rows stay comparable across commits. Each entry pins one query as (base graph id,
 // edit-op count, private generator seed); dataset.FixedWorkload turns
 // them back into the exact same query graphs run after run.
 //
